@@ -19,7 +19,9 @@ Determinism: all randomness flows from named streams of one root seed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import gc
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +47,26 @@ from .lookup import QueryRegistry, QueryStats
 from .server import BootstrapServer
 
 __all__ = ["HybridSystem"]
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the enclosed block.
+
+    A bulk build or populate allocates hundreds of thousands of
+    long-lived container objects (peers, their sets and dicts, stored
+    items) and almost no cyclic garbage, so every collection the
+    allocation rate triggers walks the growing heap for nothing.
+    Restores the caller's prior ``gc.isenabled()`` state, so nesting
+    (or a caller that already disabled GC) is safe.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class HybridSystem:
@@ -233,6 +255,7 @@ class HybridSystem:
             self._wire_mesh()
         self.built = True
 
+    @_gc_paused()
     def build_bulk(self, interests: Optional[Sequence[Optional[str]]] = None) -> None:
         """Construct the joined state directly, without protocol traffic.
 
@@ -434,6 +457,7 @@ class HybridSystem:
         self._issued_stores += 1
         self.peers[origin].store(key, value)
 
+    @_gc_paused()
     def populate(
         self,
         items: Iterable[Tuple[int, str, object]],

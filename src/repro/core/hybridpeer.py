@@ -107,6 +107,8 @@ class HybridPeer(
         self.successor = -1
         self.successor_pid = -1
         self.fingers: List[Tuple[int, int]] = []
+        # Search index over ``fingers`` (see closest_preceding); starts stale.
+        self._finger_index: Tuple = (-1, None, [], [])
         self.joining = False
         self.pending_join: Optional[Tuple[int, int]] = None
         self.join_queue: Deque[TJoinRequest] = deque()

@@ -19,7 +19,8 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Tuple
 
 from ..overlay.messages import (
     CollectLoad,
@@ -67,17 +68,41 @@ class TNetworkMixin:
         """Finger-table hop: live finger closest before ``target``.
 
         Falls back to the successor, which alone guarantees progress
-        (Chord's invariant).
+        (Chord's invariant).  Of several fingers at the same distance
+        the first in table order wins.  The search is a bisection over
+        the fingers' clockwise distances from ``p_id``, sorted once per
+        table (see :meth:`_finger_index_for`).
         """
-        best_addr = self.successor
-        best_dist = self.idspace.distance_cw(self.p_id, self.successor_pid)
-        target_dist = self.idspace.distance_cw(self.p_id, target)
+        mask = self.idspace._mask
+        p_id = self.p_id
+        index = self._finger_index
+        if index[0] != p_id or index[1] is not self.fingers:
+            index = self._finger_index_for()
+        dists = index[2]
+        i = bisect_left(dists, (target - p_id) & mask) - 1
+        if i >= 0 and dists[i] > (self.successor_pid - p_id) & mask:
+            return index[3][i]
+        return self.successor
+
+    def _finger_index_for(self) -> Tuple[int, list, List[int], List[int]]:
+        """Rebuild the finger search index ``(p_id, fingers, dists, addrs)``.
+
+        ``dists`` holds the distinct non-zero clockwise distances of the
+        fingers from ``p_id`` in ascending order, ``addrs`` the address
+        of the first finger at each.  The index is valid while ``p_id``
+        and the ``fingers`` list object are unchanged; every write site
+        assigns a new list rather than mutating the old one.
+        """
+        mask = self.idspace._mask
+        p_id = self.p_id
+        first: Dict[int, int] = {}
         for f_pid, f_addr in self.fingers:
-            d = self.idspace.distance_cw(self.p_id, f_pid)
-            if 0 < d < target_dist and d > best_dist:
-                best_dist = d
-                best_addr = f_addr
-        return best_addr
+            d = (f_pid - p_id) & mask
+            if d and d not in first:
+                first[d] = f_addr
+        dists = sorted(first)
+        self._finger_index = (p_id, self.fingers, dists, [first[d] for d in dists])
+        return self._finger_index
 
     def ring_next_hop(self, target: int) -> int:
         """Next ring hop toward the owner of ``target``."""

@@ -10,12 +10,13 @@ all-pairs shortest paths (latency-weighted Dijkstra via
 
 For the paper's scale (1,000 physical nodes) the dense distance matrix
 is ~8 MB and the predecessor matrix ~4 MB; both are computed once per
-experiment.
+experiment.  Past :data:`DENSE_ROUTER_LIMIT` hosts :class:`HierRouter`
+takes over; it computes predecessors only when a path is asked for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,21 +30,30 @@ __all__ = ["Router", "HierRouter", "make_router", "DENSE_ROUTER_LIMIT"]
 # stop fitting in memory and make_router switches to HierRouter.
 DENSE_ROUTER_LIMIT = 4096
 
+# HierRouter solves its stub domains in block-diagonal batches of about
+# this many nodes: one sparse build and one Dijkstra per batch instead
+# of per domain, with a dense (batch x batch) result that stays small.
+_STUB_BATCH_NODES = 512
+
+
+def _undirected_csr(n: int, edges: Iterable[Tuple[int, int, float]]) -> csr_matrix:
+    """Symmetric (n, n) sparse adjacency matrix of weighted edges."""
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    for u, v, lat in edges:
+        rows.extend((u, v))
+        cols.extend((v, u))
+        vals.extend((lat, lat))
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
 
 class Router:
     """All-pairs latency routing table for a :class:`PhysicalTopology`."""
 
     def __init__(self, topology: PhysicalTopology) -> None:
         self.topology = topology
-        n = topology.n
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for u, v, lat in topology.edges:
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((lat, lat))
-        graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+        graph = _undirected_csr(topology.n, topology.edges)
         dist, pred = dijkstra(
             graph, directed=False, return_predecessors=True
         )
@@ -170,6 +180,14 @@ class HierRouter:
     selects this class above :data:`DENSE_ROUTER_LIMIT`, where no dense
     reference exists, and every shard of a sharded run uses the same
     implementation, so determinism across shard counts is unaffected.
+
+    Construction is two kinds of Dijkstra, both without predecessors:
+    one over the transit core, and one per batch of stub domains laid
+    out block-diagonally (a path never leaves its block, so each
+    domain's all-pairs table is its diagonal block, bit for bit what a
+    Dijkstra over the domain alone gives).  Predecessor matrices are
+    only needed by :meth:`path`, i.e. link-stress accounting; they are
+    built the first time a path needs one.
     """
 
     def __init__(self, topology: PhysicalTopology) -> None:
@@ -177,16 +195,12 @@ class HierRouter:
         n = topology.n
         kind = topology.kind
         domain = topology.domain
-        attach = topology.transit_attachment
 
         # --- transit core ------------------------------------------------
         transit = [i for i in range(n) if kind[i] is NodeKind.TRANSIT]
         self._transit = transit
         t_of = {node: i for i, node in enumerate(transit)}
-        n_t = len(transit)
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
+        core_edges: List[Tuple[int, int, float]] = []
         # Per-stub-domain edge lists and the one gateway edge.
         dom_edges: Dict[int, List[Tuple[int, int, float]]] = {}
         gateway: Dict[int, Tuple[int, float]] = {}  # domain -> (gateway node, w)
@@ -194,10 +208,7 @@ class HierRouter:
             u_t = kind[u] is NodeKind.TRANSIT
             v_t = kind[v] is NodeKind.TRANSIT
             if u_t and v_t:
-                a, b = t_of[u], t_of[v]
-                rows.extend((a, b))
-                cols.extend((b, a))
-                vals.extend((lat, lat))
+                core_edges.append((t_of[u], t_of[v], lat))
             elif u_t != v_t:
                 stub = v if u_t else u
                 d = domain[stub]
@@ -211,12 +222,12 @@ class HierRouter:
                 if domain[u] != domain[v]:  # pragma: no cover - generator invariant
                     raise ValueError("stub edge crosses domains")
                 dom_edges.setdefault(domain[u], []).append((u, v, lat))
-        core = csr_matrix((vals, (rows, cols)), shape=(n_t, n_t))
-        tt_dist, tt_pred = dijkstra(core, directed=False, return_predecessors=True)
+        self._core = _undirected_csr(len(transit), core_edges)
+        tt_dist = dijkstra(self._core, directed=False)
         if np.isinf(tt_dist).any():
             raise ValueError("transit core is not connected")
         self._tt = tt_dist
-        self._tt_pred = tt_pred
+        self._tt_pred: Optional[np.ndarray] = None
         self._tt_rows: Dict[int, List[float]] = {}
 
         # --- stub domains ------------------------------------------------
@@ -225,45 +236,57 @@ class HierRouter:
         for i in range(n):
             if kind[i] is NodeKind.STUB:
                 members.setdefault(domain[i], []).append(i)
-        self._members = members
-        self._intra: Dict[int, np.ndarray] = {}
-        self._intra_pred: Dict[int, np.ndarray] = {}
-        self._gateway = gateway
-        # Per-host: index of the attachment transit node, and the exact
-        # distance to it (0.0 for transit nodes).
-        tindex = [0] * n
-        to_transit = [0.0] * n
-        for i in range(n):
-            tindex[i] = t_of[attach[i]]
-        for d, mem in members.items():
+        for d in members:
             if d not in gateway:
                 raise ValueError(f"stub domain {d} has no gateway edge")
-            g, w = gateway[d]
-            idx = {node: j for j, node in enumerate(mem)}
-            k = len(mem)
-            drows: List[int] = []
-            dcols: List[int] = []
-            dvals: List[float] = []
-            for u, v, lat in dom_edges.get(d, ()):
-                a, b = idx[u], idx[v]
-                drows.extend((a, b))
-                dcols.extend((b, a))
-                dvals.extend((lat, lat))
-            sub = csr_matrix((dvals, (drows, dcols)), shape=(k, k))
-            dist, pred = dijkstra(sub, directed=False, return_predecessors=True)
-            if np.isinf(dist).any():
-                raise ValueError(f"stub domain {d} is not internally connected")
-            self._intra[d] = dist
-            self._intra_pred[d] = pred
-            grow = dist[idx[g]]
-            for node in mem:
-                to_transit[node] = float(grow[idx[node]]) + w
+        self._members = members
         self._dom_index: Dict[int, Dict[int, int]] = {
             d: {node: j for j, node in enumerate(mem)} for d, mem in members.items()
         }
-        self._tindex = tindex
+        self._dom_edges = dom_edges
+        self._gateway = gateway
+        self._intra: Dict[int, np.ndarray] = {}
+        self._intra_pred: Dict[int, np.ndarray] = {}
+        batch: List[int] = []
+        size = 0
+        for d, mem in members.items():
+            batch.append(d)
+            size += len(mem)
+            if size >= _STUB_BATCH_NODES:
+                self._solve_domains(batch)
+                batch, size = [], 0
+        if batch:
+            self._solve_domains(batch)
+
+        # Per-host: index of the attachment transit node, and the exact
+        # distance to it (0.0 for transit nodes).
+        self._tindex = [t_of[a] for a in topology.transit_attachment]
+        to_transit = [0.0] * n
+        for d, mem in members.items():
+            g, w = gateway[d]
+            grow = self._intra[d][self._dom_index[d][g]] + w
+            for node, lat in zip(mem, grow.tolist()):
+                to_transit[node] = lat
         self._to_transit = to_transit
         self._rows: Dict[int, _HierRow] = {}
+
+    def _solve_domains(self, domains: List[int]) -> None:
+        """All-pairs distances of ``domains`` from one block-diagonal Dijkstra."""
+        edges: List[Tuple[int, int, float]] = []
+        blocks: List[Tuple[int, int, int]] = []  # (domain, offset, size)
+        offset = 0
+        for d in domains:
+            idx = self._dom_index[d]
+            for u, v, lat in self._dom_edges.get(d, ()):
+                edges.append((offset + idx[u], offset + idx[v], lat))
+            blocks.append((d, offset, len(idx)))
+            offset += len(idx)
+        dist = dijkstra(_undirected_csr(offset, edges), directed=False)
+        for d, lo, k in blocks:
+            block = dist[lo : lo + k, lo : lo + k]
+            if np.isinf(block).any():
+                raise ValueError(f"stub domain {d} is not internally connected")
+            self._intra[d] = block.copy()
 
     # ------------------------------------------------------------------
     @property
@@ -310,10 +333,29 @@ class HierRouter:
     # ------------------------------------------------------------------
     # Paths (cold path: link-stress accounting only)
     # ------------------------------------------------------------------
+    def _domain_pred(self, d: int) -> np.ndarray:
+        pred = self._intra_pred.get(d)
+        if pred is None:
+            idx = self._dom_index[d]
+            graph = _undirected_csr(
+                len(idx),
+                ((idx[u], idx[v], lat) for u, v, lat in self._dom_edges.get(d, ())),
+            )
+            _, pred = dijkstra(graph, directed=False, return_predecessors=True)
+            self._intra_pred[d] = pred
+        return pred
+
+    def _transit_pred(self) -> np.ndarray:
+        if self._tt_pred is None:
+            _, self._tt_pred = dijkstra(
+                self._core, directed=False, return_predecessors=True
+            )
+        return self._tt_pred
+
     def _intra_path(self, d: int, src: int, dst: int) -> List[int]:
         mem = self._members[d]
         idx = self._dom_index[d]
-        pred = self._intra_pred[d]
+        pred = self._domain_pred(d)
         nodes = [dst]
         cur = idx[dst]
         s = idx[src]
@@ -325,7 +367,7 @@ class HierRouter:
 
     def _transit_path(self, src_t: int, dst_t: int) -> List[int]:
         transit = self._transit
-        pred = self._tt_pred
+        pred = self._transit_pred()
         nodes = [transit[dst_t]]
         cur = dst_t
         while cur != src_t:

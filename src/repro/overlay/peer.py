@@ -1,15 +1,15 @@
 """Base peer machinery shared by all overlay nodes.
 
-A :class:`BasePeer` owns a mailbox dispatch table (message class ->
-``on_<ClassName>`` method discovered by reflection), a data store, and
-its attachment to a physical host.  The hybrid peer, the Chord baseline
-peer and the Gnutella baseline peer all inherit from it.
+A :class:`BasePeer` dispatches each incoming message to the
+``on_<ClassName>`` handler its class defines, and is attached to a
+physical host.  The hybrid peer (and the live runtime's peer built on
+it) and the bootstrap server inherit from it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Callable, Dict, Optional
 
 from ..sim.engine import Engine
 from ..sim.trace import TraceBus
@@ -38,11 +38,20 @@ class BasePeer:
     trace:
         Optional trace bus for metrics/tests.
 
-    Subclasses implement handlers named ``on_<MessageClassName>``; the
-    dispatch table is built once per class and cached.
+    Subclasses implement handlers named ``on_<MessageClassName>``.
+    Dispatch goes through one ``message class -> function`` table per
+    peer class (``_handlers``), shared by all its instances and filled
+    lazily: the first message of a class resolves its handler by name
+    through the MRO, so a subclass override wins.  Peers thus hold no
+    per-instance bound methods, which at 10^4+ peers was most of the
+    heap the cyclic GC had to walk.
     """
 
-    _dispatch_cache: Dict[type, Dict[str, str]] = {}
+    _handlers: Dict[type, Callable[["BasePeer", Message], None]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
 
     def __init__(
         self,
@@ -67,26 +76,9 @@ class BasePeer:
         # first and skip the call entirely.
         self._wants_cache: Dict[str, bool] = {}
         self._wants_version = -1
-        self._dispatch = self._build_dispatch()
         # Shadow the send() method with a pre-bound partial: one less
         # Python frame on the hottest call path in the system.
         self.send = partial(transport.send, self)
-
-    # ------------------------------------------------------------------
-    def _build_dispatch(self) -> Dict[str, Callable[[Message], None]]:
-        # The name -> method-name map is discovered once per class; each
-        # instance then binds it to itself so dispatch is a single dict
-        # lookup yielding a bound method (no per-message getattr).
-        cls = type(self)
-        cached = BasePeer._dispatch_cache.get(cls)
-        if cached is None:
-            cached = {
-                name[3:]: name
-                for name in dir(cls)
-                if name.startswith("on_") and callable(getattr(cls, name))
-            }
-            BasePeer._dispatch_cache[cls] = cached
-        return {msg_name: getattr(self, meth) for msg_name, meth in cached.items()}
 
     # ------------------------------------------------------------------
     def send(self, dst_address: int, msg: Message) -> bool:
@@ -107,19 +99,15 @@ class BasePeer:
         if not self.alive:
             return
         self.messages_received += 1
-        dispatch = self._dispatch
         cls = type(msg)
-        handler = dispatch.get(cls)
+        handler = self._handlers.get(cls)
         if handler is None:
-            # First message of this class: resolve by name, then memoize
-            # under the class itself so steady-state dispatch hashes a
-            # type instead of a string.
-            handler = dispatch.get(cls.__name__)
+            handler = getattr(type(self), "on_" + cls.__name__, None)
             if handler is None:
                 self.unhandled(msg)
                 return
-            dispatch[cls] = handler
-        handler(msg)
+            self._handlers[cls] = handler
+        handler(self, msg)
 
     def unhandled(self, msg: Message) -> None:
         """Hook for messages with no handler; loud by default.

@@ -67,11 +67,42 @@ class TestDispatch:
 
     def test_dispatch_table_cached_per_class(self, wired):
         engine, transport, a, b = wired
-        # Reflection happens once per class; instances bind the shared
-        # name -> method-name map to themselves.
-        assert type(a)._dispatch_cache[type(a)] is type(b)._dispatch_cache[type(b)]
-        assert a._dispatch.keys() == b._dispatch.keys()
-        assert a._dispatch["Hello"].__self__ is a
+        a.send(2, Hello())
+        b.send(1, Hello())
+        engine.run()
+        # One message class -> function table per peer class, shared by
+        # every instance; peers hold no per-instance handler state.
+        assert a._handlers is b._handlers is EchoPeer.__dict__["_handlers"]
+        assert EchoPeer._handlers == {Hello: EchoPeer.on_Hello}
+        assert "_handlers" not in vars(a)
+        assert BasePeer._handlers == {}
+
+    def test_subclass_override_dispatches_to_override(self, engine, idspace):
+        class LoudEchoPeer(EchoPeer):
+            def on_Hello(self, msg: Hello) -> None:
+                self.hellos.append("loud")
+
+        transport = Transport(engine)
+        plain = EchoPeer(1, 0, engine, transport, idspace)
+        loud = LoudEchoPeer(2, 0, engine, transport, idspace)
+        transport.register(plain)
+        transport.register(loud)
+        plain.send(2, Hello())
+        loud.send(1, Hello())
+        engine.run()
+        assert loud.hellos == ["loud"]
+        assert len(plain.hellos) == 1 and isinstance(plain.hellos[0], Hello)
+        assert LoudEchoPeer._handlers is not EchoPeer._handlers
+        assert LoudEchoPeer._handlers[Hello] is LoudEchoPeer.on_Hello
+
+    def test_unhandled_raises_every_time(self, wired):
+        engine, transport, a, b = wired
+        for _ in range(2):
+            a.send(2, DataFound())
+            with pytest.raises(NotImplementedError, match="DataFound"):
+                engine.run()
+        # A miss is never cached as a handler.
+        assert DataFound not in EchoPeer._handlers
 
     def test_emit_noop_without_listeners(self, wired):
         engine, transport, a, b = wired
